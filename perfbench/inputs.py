@@ -107,6 +107,19 @@ def brush_sequence(rng, windows):
     return is_lo, values
 
 
+def serve_brush_hi(phase, k):
+    """serve-open's ``k``-th brush move: the upper bound of a brush whose
+    lower bound stays at 0, at ``BRUSH_LOW + BRUSH_MIN_WIDTH`` plus
+    ``frac(phase + k * phi)`` of the rest of the range up to
+    ``BRUSH_HIGH``.  Like :func:`brush_sequence`, the low-discrepancy
+    step spreads the bounds evenly over the range after any number of
+    moves and keeps every value off the tile grid and never repeated;
+    unlike it, the sequence never runs out."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    low = BRUSH_LOW + BRUSH_MIN_WIDTH
+    return low + (BRUSH_HIGH - low) * ((float(phase) + k * phi) % 1.0)
+
+
 def make_inputs(workload, seed):
     """Every array one run of ``workload`` needs, from ``seed`` alone."""
     rng = np.random.default_rng([int(seed), WORKLOAD_INDEX[workload]])
@@ -121,8 +134,10 @@ def make_inputs(workload, seed):
             out.update({"append." + k: v for k, v in batch.items()})
         return out
     if workload == "serve-open":
-        return {"table." + k: v
-                for k, v in flights(rng, SERVE_ROWS, ZIPF_SHARES).items()}
+        out = {"table." + k: v
+               for k, v in flights(rng, SERVE_ROWS, ZIPF_SHARES).items()}
+        out["brush_phase"] = rng.random(1)
+        return out
     raise ValueError("unknown workload {!r}".format(workload))
 
 

@@ -77,6 +77,20 @@ def brush_mask(distance, lo, hi):
         return (distance >= lo) & (distance < hi)
 
 
+def brush_dashboard_rows(distance, values, carrier, lo, hi, extent,
+                         maxbins):
+    """How many rows the two-view brush dashboard returns for the brush
+    ``[lo, hi)``: the histogram of ``values`` on the fixed ``extent``
+    (one row per non-empty bin, plus one for the NULL bin when a
+    brushed value is NULL) and one row per carrier in the brush."""
+    mask = brush_mask(distance, lo, hi)
+    brushed = values[mask]
+    valid = brushed[~np.isnan(brushed)]
+    bins = np.unique(bin_starts(valid, *vega_bin(extent, maxbins)))
+    return (int(bins.size) + int(valid.size < brushed.size)
+            + int(np.unique(carrier[mask]).size))
+
+
 def interval_count(sorted_values, lo, hi):
     """Values in ``[lo, hi)`` of an ascending, NULL-free array."""
     return int(np.searchsorted(sorted_values, hi, side="left")

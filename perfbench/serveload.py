@@ -6,24 +6,42 @@ thread per connection (``time.sleep`` keeps the open loop's send times
 within a fraction of a millisecond of when they are due):
 
 1. set-up: the server process is timed from launch to ``READY``;
-2. an untimed warm-up builds every load tenant's pooled sessions and
-   visits every (binField, maxbins) pair, so the shared result cache
-   holds the whole working set;
-3. opens: a third of :data:`OPENS` new tenants each send one request,
+2. an untimed warm-up builds the pooled sessions of every load tenant
+   and of the brush tenant (the pool builds sessions without tiles, so a
+   brush move always runs the engine) and visits every (binField,
+   maxbins) pair, so the shared result cache holds the whole working set
+   of the histogram dashboard;
+3. opens: a quarter of :data:`OPENS` new tenants each send one request,
    timed with the tenant's cold session build (``startup_s``);
-4. an open loop offers Markov-user requests (``build_user_traces``) at
-   :data:`RATE_PER_S`; each latency runs from when the request was due,
-   and the generator's lateness (send time minus due time) is reported;
-   the server's peak RSS is read here (``peak_rss_mb``);
-5. another third of the opens, a closed loop on every connection for
-   ``events_per_s``, and the last third of the opens;
-6. :data:`SETUPS` minus one more server starts complete the set-up
+4. :data:`CYCLES` cycles, so that each kind of sample is spread over
+   the run rather than taken in one stretch of it, each of
+   - an open loop, for :data:`OPEN_SHARE` of the cycle, offering
+     requests at :data:`RATE_PER_S`: Markov users' requests
+     (``build_user_traces``) on the histogram dashboard, each a hit in
+     the shared cache, and in every :data:`BRUSH_EVERY`-th slot a brush
+     move on the brush dashboard, which misses the cache and runs the
+     engine (so ``event_p50_s`` lies among the hits and
+     ``event_p95_s`` among the brush moves, each well inside its own
+     mode); each latency runs from when the request was due, and the
+     generator's lateness (send time minus due time) is reported;
+     after the first one the server's peak RSS is read
+     (``peak_rss_mb``);
+   - a closed loop of Markov users' requests on every connection for
+     the rest of the cycle (``events_per_s`` is the median rate over
+     blocks of :data:`RATE_BLOCK` completions of all cycles);
+   - another quarter of the opens;
+5. :data:`SETUPS` minus one more server starts complete the set-up
    samples (``setup_s`` is their median).
+
+With ``--trace 1`` the open loop takes the whole of ``--seconds``, its
+first half untraced and its second half traced, with a quarter of the
+opens before it and the rest after it.
 
 Every response is checked against :mod:`reference`, and the server's
 ``/stats`` totals against the generator's own tallies.
 """
 
+import bisect
 import http.client
 import itertools
 import json
@@ -40,21 +58,37 @@ import numpy as np
 import inputs
 import reference as ref
 from spantrace import PER_LAYER, layer_metrics, layer_shares
-from worker import percentile, reference_loop
+from worker import BRUSH_DASHBOARD, percentile, reference_loop
 
-SETUPS = 3
-#: new tenants whose first request is timed, a third of them after each
-#: of the warm-up, the open loop and the closed loop (with ``--trace 1``:
-#: a third before and two thirds after the open loop)
+SETUPS = 5
+#: new tenants whose first request is timed, a quarter of them after
+#: the warm-up and a quarter after each cycle
 OPENS = 12
-#: offered load of the open loop, well below the 500-700 req/s a warmed
-#: server sustains closed-loop
-RATE_PER_S = 80.0
-#: share of ``--seconds`` given to the open loop; the closed loop gets
-#: the rest (with ``--trace 1`` the open loop takes all of it)
+#: open-loop and closed-loop cycles of one run
+CYCLES = 3
+#: offered load of the open loop, well below what the server sustains:
+#: a brush move takes about 30 ms of the server's core, a hit about 2 ms,
+#: and a move is mostly done before the next request is due
+RATE_PER_S = 20.0
+#: one open-loop request in this many is a brush move; the moves are
+#: 12.5% of the requests, so the p95 sits at about their median
+BRUSH_EVERY = 8
+BRUSH_TENANT = "b0"
+BRUSH_BIN = BRUSH_DASHBOARD["data"][1]["transform"][1]
+#: share of each cycle given to the open loop; the closed loop gets the
+#: rest
 OPEN_SHARE = 0.7
+#: closed-loop completions per throughput block
+RATE_BLOCK = 500
+#: requests planned for the closed loop; it cycles through them if it
+#: outlasts them
+CLOSED_PLAN = 10_000
 LOAD_TENANTS = ["t0", "t1"]
-USERS_PER_TENANT = 4
+#: many users, each walking a short way from the spec's initial values,
+#: so every seed offers nearly the same mix of maxbins values (with four
+#: users per tenant the mean maxbins of a run varied by a fifth between
+#: seeds, and the closed-loop rate with it)
+USERS_PER_TENANT = 32
 FIELDS = ["dep_delay", "arr_delay", "distance", "air_time"]
 MAXBINS = range(5, 101)
 DEFAULT_MAXBINS = 20
@@ -81,10 +115,10 @@ class Connection:
         response = self.http.getresponse()
         return response.status, json.loads(response.read() or b"null")
 
-    def interact(self, tenant, signal, value):
+    def interact(self, tenant, signal, value, dashboard="flights"):
         return self.request(
             "POST", "/v1/interact",
-            {"dashboard": "flights", "signal": signal, "value": value},
+            {"dashboard": dashboard, "signal": signal, "value": value},
             tenant=tenant)
 
 
@@ -184,7 +218,8 @@ class Tally:
 
 
 def request_plan(seed, count):
-    """Markov users' requests, interleaved user by user."""
+    """Markov users' requests, interleaved user by user, as
+    ``(tenant, signal, value)``."""
     from repro.serve.loadgen import build_user_traces
     from repro.spec import flights_histogram_spec
 
@@ -200,6 +235,34 @@ def request_plan(seed, count):
             plan.append((tenant, trace.steps[step].signal,
                          trace.steps[step].value))
     return plan[:count]
+
+
+def brush_move(expected, k):
+    """The ``k``-th brush move as an open-loop request: the brush's lower
+    bound stays at its initial 0 in every session, so the answer does
+    not depend on which pooled session serves it."""
+    hi = inputs.serve_brush_hi(expected["brush_phase"], k)
+    columns = expected["columns"]
+    rows = ref.brush_dashboard_rows(
+        columns["distance"], columns["dep_delay"], columns["carrier"],
+        0.0, hi, BRUSH_BIN["extent"], BRUSH_BIN["maxbins"])
+    return "brush", BRUSH_TENANT, "hi", hi, {rows}
+
+
+def open_plan(expected, markov, count, first_move):
+    """``count`` open-loop requests as ``(dashboard, tenant, signal,
+    value, allowed row counts)``: ``markov[i]`` in slot ``i``, except in
+    every :data:`BRUSH_EVERY`-th slot, which holds the next brush
+    move."""
+    plan = []
+    for i in range(count):
+        if i % BRUSH_EVERY == BRUSH_EVERY - 1:
+            plan.append(brush_move(expected, first_move + i // BRUSH_EVERY))
+        else:
+            tenant, signal, value = markov[i]
+            plan.append(("flights", tenant, signal, value,
+                         expected[signal][value]))
+    return plan
 
 
 def drive(server, seed, seconds, trace, expected, tally):
@@ -226,15 +289,26 @@ def drive(server, seed, seconds, trace, expected, tally):
         window[1] = time.perf_counter()
         out["open_windows"].append(window)
 
-    # warm-up: pooled sessions for every load tenant, then every
-    # (binField, maxbins) pair through two warm-up tenants
+    # warm-up: pooled sessions for every load tenant and the brush
+    # tenant, then every (binField, maxbins) pair through two warm-up
+    # tenants
     for tenant in LOAD_TENANTS:
         for _ in range(2):
             replies = on_each(conns, lambda conn, _: conn.interact(
                 tenant, "maxbins", DEFAULT_MAXBINS))
+            # fresh sessions: binField is still the spec's dep_delay
             for status, body in replies:
-                tally.record(status, body, expected["maxbins"][
-                    DEFAULT_MAXBINS])
+                tally.record(status, body,
+                             {rows[("dep_delay", DEFAULT_MAXBINS)]})
+    warm_moves = 0
+    for _ in range(2):
+        moves = [brush_move(expected, warm_moves + i)
+                 for i in range(len(conns))]
+        warm_moves += len(conns)
+        replies = on_each(conns, lambda conn, i: conn.interact(
+            *moves[i][1:4], dashboard=moves[i][0]))
+        for (status, body), move in zip(replies, moves):
+            tally.record(status, body, move[4])
 
     half = -(-len(FIELDS) // len(conns))
 
@@ -250,10 +324,13 @@ def drive(server, seed, seconds, trace, expected, tally):
 
     on_each(conns, visit)
 
-    opens(OPENS // 3)
+    opens(OPENS // (CYCLES + 1))
     open_seconds = seconds if trace else seconds * OPEN_SHARE
-    count = int(RATE_PER_S * open_seconds)
-    plan = request_plan(seed, 2 * count + 10_000)
+    # whole cycles of brush slots in every open loop
+    unit = CYCLES * BRUSH_EVERY
+    count = unit * max(1, round(RATE_PER_S * open_seconds / unit))
+    markov = request_plan(seed, count + CLOSED_PLAN)
+    plan = open_plan(expected, markov, count, warm_moves)
 
     def open_loop(requests, record):
         """Offer ``requests`` at the fixed rate over every connection."""
@@ -269,11 +346,12 @@ def drive(server, seed, seconds, trace, expected, tally):
                 delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-                tenant, signal, value = requests[i]
+                dashboard, tenant, signal, value, allowed = requests[i]
                 sent = time.perf_counter()
-                status, body = conn.interact(tenant, signal, value)
+                status, body = conn.interact(tenant, signal, value,
+                                             dashboard)
                 done = time.perf_counter()
-                ok = tally.record(status, body, expected[signal][value])
+                ok = tally.record(status, body, allowed)
                 record.append((due, sent, done, ok, body))
 
         on_each(conns, lane)
@@ -290,27 +368,37 @@ def drive(server, seed, seconds, trace, expected, tally):
         out["event_window"][1] = time.perf_counter()
         out["untraced_p50_s"] = percentile(
             [done - due for due, _, done, _, _ in untraced], 0.5)
-        opens(OPENS - OPENS // 3)
+        opens(OPENS - OPENS // (CYCLES + 1))
     else:
-        open_loop(plan[:count], timed)
-        out["peak_rss_kb"] = int(server.command("RSS")[0])
-        opens(OPENS // 3)
-        # closed loop: every connection sends back to back
-        cursor = itertools.count(count)
-        completed = []
-        end = time.perf_counter() + seconds - open_seconds
+        cursor = itertools.count()
 
-        def closed(conn, _):
-            while time.perf_counter() < end:
-                tenant, signal, value = plan[next(cursor)]
-                status, body = conn.interact(tenant, signal, value)
-                tally.record(status, body, expected[signal][value])
-                completed.append(time.perf_counter())
+        def closed_loop(duration):
+            """Every connection sends back to back for ``duration``
+            seconds; returns the rates of its blocks of completions."""
+            completed = []
+            start = time.perf_counter()
+            end = start + duration
 
-        start = time.perf_counter()
-        on_each(conns, closed)
-        out["events_per_s"] = len(completed) / (max(completed) - start)
-        opens(OPENS - 2 * (OPENS // 3))
+            def closed(conn, _):
+                while time.perf_counter() < end:
+                    i = count + next(cursor) % CLOSED_PLAN
+                    tenant, signal, value = markov[i]
+                    status, body = conn.interact(tenant, signal, value)
+                    tally.record(status, body, expected[signal][value])
+                    completed.append(time.perf_counter())
+
+            on_each(conns, closed)
+            return block_rates([start] + sorted(completed))
+
+        per_cycle = count // CYCLES
+        rates = []
+        for cycle in range(CYCLES):
+            open_loop(plan[cycle * per_cycle:(cycle + 1) * per_cycle], timed)
+            if cycle == 0:
+                out["peak_rss_kb"] = int(server.command("RSS")[0])
+            rates += closed_loop((seconds - open_seconds) / CYCLES)
+            opens(OPENS // (CYCLES + 1))
+        out["events_per_s"] = statistics.median(rates)
     out["startup_s"] = statistics.median(open_times)
     out["timed"] = timed
 
@@ -327,15 +415,32 @@ def drive(server, seed, seconds, trace, expected, tally):
     return out
 
 
+def block_rates(times):
+    """Completion rates over consecutive blocks of :data:`RATE_BLOCK`
+    completions (one rate over all of them when there are fewer);
+    ``times`` is the loop's start followed by every completion time, in
+    order."""
+    blocks = (len(times) - 1) // RATE_BLOCK
+    if not blocks:
+        return [(len(times) - 1) / (times[-1] - times[0])]
+    return [RATE_BLOCK / (times[(k + 1) * RATE_BLOCK] - times[k * RATE_BLOCK])
+            for k in range(blocks)]
+
+
 def references(input_path):
     """Histogram row counts for every (field, maxbins), and the counts a
     request may return when only one of the two signals is known: a
-    pooled session keeps whatever the other signal was left at."""
+    pooled session keeps whatever the other signal was left at.  The
+    table and the brush sequence's phase stay here for
+    :func:`brush_move`."""
     with np.load(input_path) as data:
         columns = inputs.table_arrays({k: data[k] for k in data.files})
+        phase = float(data["brush_phase"][0])
     rows = {(field, m): ref.histogram_rows(columns[field], m)
             for field in FIELDS for m in MAXBINS}
     return {
+        "columns": columns,
+        "brush_phase": phase,
         "rows": rows,
         "maxbins": {m: {rows[(f, m)] for f in FIELDS} for m in MAXBINS},
         "binField": {f: {rows[(f, m)] for m in MAXBINS} for f in FIELDS},
@@ -417,7 +522,6 @@ def run(args, src, input_path, spans_path, env):
 
     http = [(done_t - sent) - body["server_seconds"]
             for _, sent, done_t, ok, body in timed if ok]
-    client_total = sum(done_t - sent for _, sent, done_t, _, _ in timed)
     metrics.update({
         "serve.admit_s_per_request": per_request("serve.admit"),
         "serve.acquire_s_per_request": per_request("serve.acquire"),
@@ -427,9 +531,30 @@ def run(args, src, input_path, spans_path, env):
         "trace.overhead_s": percentile(latencies, 0.5)
         - out["untraced_p50_s"],
     })
-    shares = layer_shares(spans, in_events, total=client_total)
-    shares["http"] = sum(http) / client_total
     result["metrics"] = {name: metrics.get(name, 0.0)
                          for name, _, _ in PER_LAYER}
-    result["shares"] = shares
+    result["shares"] = {"hit": request_shares(spans, timed, "flights"),
+                        "brush move": request_shares(spans, timed, "brush")}
     return result
+
+
+def request_shares(spans, timed, dashboard):
+    """Each layer's share of the client-observed time of the timed
+    requests to ``dashboard``; ``http`` is that time minus the server's
+    own ``server_seconds``.  A server span counts toward the request in
+    flight when it started (at :data:`RATE_PER_S` requests rarely
+    overlap)."""
+    requests = sorted((sent, done_t, body["server_seconds"])
+                      for _, sent, done_t, ok, body in timed
+                      if ok and body["dashboard"] == dashboard)
+    starts = [sent for sent, _, _ in requests]
+    total = sum(done_t - sent for sent, done_t, _ in requests)
+
+    def inside(span):
+        i = bisect.bisect_right(starts, span[2]) - 1
+        return i >= 0 and span[2] <= requests[i][1]
+
+    shares = layer_shares(spans, inside, total=total)
+    shares["http"] = sum(done_t - sent - server
+                         for sent, done_t, server in requests) / total
+    return shares

@@ -1,5 +1,6 @@
-"""The serve-open server process: the flights histogram dashboard behind
-``repro.serve.app.ServingApp``.
+"""The serve-open server process: the flights histogram dashboard
+(``flights``) and the two-view brush dashboard of the brush workloads
+(``brush``), both over one table, behind ``repro.serve.app.ServingApp``.
 
 Started by ``serveload.py``; prints ``READY <port>`` once the app is
 listening and its shared backend is loaded, then takes line commands on
@@ -29,9 +30,11 @@ import numpy as np
 
 import inputs
 from spantrace import Recorder, instrument
+from worker import BRUSH_DASHBOARD
 
-#: result-cache entries: every (binField, maxbins) rows query plus the
-#: four extent queries fit, so the timed phase never evicts
+#: result-cache entries per dashboard: every (binField, maxbins) rows
+#: query plus the four extent queries fit, and so do the two queries of
+#: each of the brush moves a 30-second run makes, so it never evicts
 CACHE_ENTRIES = 1024
 
 
@@ -41,8 +44,11 @@ def build_app(table, workers):
     from repro.serve.pool import DashboardConfig
     from repro.spec import flights_histogram_spec
 
-    dashboards = {"flights": DashboardConfig(
-        flights_histogram_spec(), tables={"flights": table})}
+    dashboards = {
+        "flights": DashboardConfig(flights_histogram_spec(),
+                                   tables={"flights": table}),
+        "brush": DashboardConfig(BRUSH_DASHBOARD, tables={"flights": table}),
+    }
     policy = TenantPolicy(rate=None, max_concurrency=workers,
                           max_queue=1024, queue_timeout_seconds=60.0)
     return ServingApp(dashboards, default_policy=policy,

@@ -54,6 +54,19 @@ def test_brush_and_interval_counts():
     assert ref.interval_count(values, 1.0, 3.0) == 2
 
 
+def test_brush_dashboard_rows():
+    distance = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
+    delay = np.array([-30.0, 10.0, NAN, 600.0, 599.0])
+    carrier = np.array(["AA", "AA", "DL", "UA", "WN"])
+    # extent [-30, 600], step 50: [0, 260) holds bins -50 and 0, the
+    # NULL bin, and bin 550 (600 clamps into it); carriers AA, DL, UA
+    assert ref.brush_dashboard_rows(distance, delay, carrier, 0.0, 260.0,
+                                    [-30, 600], 30) == 7
+    # [0, 160): bins -50 and 0, no NULL, carrier AA
+    assert ref.brush_dashboard_rows(distance, delay, carrier, 0.0, 160.0,
+                                    [-30, 600], 30) == 3
+
+
 def test_carrier_aggregates():
     carrier = np.array(["AA", "AA", "DL", "DL", "UA"])
     delay = np.array([1.0, 3.0, NAN, NAN, 5.0])

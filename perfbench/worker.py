@@ -8,8 +8,8 @@ Its own peak RSS is the ``peak_rss_mb`` metric, so nothing but the
 program and the loaded inputs lives here.
 
 Phases of one run: set-up, an untimed warm-up, then whole rounds of
-timed events until ``--seconds`` of them have passed, with two more
-set-ups and five dashboard opens (fresh sessions over the loaded
+timed events until ``--seconds`` of them have passed, with four more
+set-ups and eight dashboard opens (fresh sessions over the loaded
 backend) measured between rounds (:class:`Interleaved`).  With
 ``--trace 1`` the rounds alternate between untraced and traced
 (:func:`run_traced`): the traced rounds' spans give the per-layer
@@ -115,7 +115,7 @@ class BrushWorkload:
 
     round_events = 2
     #: events between two interleaved set-up or open measurements
-    spacing = 40
+    spacing = 50
     #: timed events after which peak RSS is read
     rss_events = 320
 
@@ -305,7 +305,8 @@ class Interleaved:
     ``workload.rss_events`` events have run, so it covers the same work
     in every run however fast the machine is."""
 
-    PLAN = ["open", "setup", "open", "open", "setup", "open", "open"]
+    PLAN = ["open", "setup", "open", "open", "setup", "open", "setup",
+            "open", "open", "setup", "open", "open"]
 
     def __init__(self, workload, session, setup_times, recorder):
         self.workload = workload
