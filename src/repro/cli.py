@@ -104,24 +104,25 @@ def cmd_compare(args, out):
 
 def cmd_explain(args, out):
     session = _build_session(args)
-    session.startup()
+    startup = session.startup()
     print(plan_graph(session).to_dot(), file=out)
     print(file=out)
-    for entry in session.history[0].queries:
+    for entry in startup.queries:
         print("-- {} query ({} rows, {:.4f}s server)".format(
             entry.kind, entry.rows, entry.server_seconds), file=out)
         print(entry.sql, file=out)
         print(file=out)
     if getattr(args, "analyze", False):
-        _print_explain_analyze(session, out)
+        _print_explain_analyze(session, startup, out)
     return 0
 
 
-def _print_explain_analyze(session, out):
-    """EXPLAIN ANALYZE of each server query: per-plan-node rows in/out
-    and elapsed time, from the embedded engine."""
+def _print_explain_analyze(session, startup, out):
+    """EXPLAIN ANALYZE of each server query of the ``startup`` run:
+    per-plan-node rows in/out and elapsed time, from the embedded
+    engine."""
     printed = False
-    for entry in session.history[0].queries:
+    for entry in startup.queries:
         if entry.kind == "prefetch" or entry.cached:
             continue
         try:

@@ -19,6 +19,7 @@ the prefetcher — the full middleware stack of Figure 1.  Typical use::
     result = session.interact("maxbins", 30)
 """
 
+import collections
 import itertools
 import time
 
@@ -49,6 +50,10 @@ from repro.telemetry.tracer import as_tracer
 
 #: process-wide source of default session ids (the ``session=`` label)
 _SESSION_IDS = itertools.count(1)
+
+#: runs whose RunResult (output rows included) a session keeps in
+#: ``history``; older ones are dropped, ``stats()["runs"]`` counts all
+HISTORY_LIMIT = 8
 
 
 class SessionError(Exception):
@@ -204,7 +209,10 @@ class VegaPlus:
                                           metrics=self.metrics)
         self.plan = None
         self._sink_states = {}
-        self.history = []
+        #: the most recent runs, newest last (``startup()`` returns the
+        #: startup run itself); ``runs`` counts every run
+        self.history = collections.deque(maxlen=HISTORY_LIMIT)
+        self.runs = 0
         #: §2.2 step 4: per-interaction plan choice between the startup
         #: plan and a re-partitioned candidate, based on the cache state
         self.dynamic_replan = dynamic_replan
@@ -320,13 +328,14 @@ class VegaPlus:
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
         self._record_run(label, result)
-        self.history.append(result)
         return result
 
     def _record_run(self, label, result):
-        """SLO accounting for one run: count it and observe its modeled
-        end-to-end latency, labeled by run kind (``startup``,
-        ``interact``, ``append``, ``vega-client``, ...)."""
+        """Keep one finished run in the bounded history, count it, and
+        observe its modeled end-to-end latency, labeled by run kind
+        (``startup``, ``interact``, ``append``, ``vega-client``, ...)."""
+        self.history.append(result)
+        self.runs += 1
         if not self.metrics.enabled:
             return
         kind = label.split(":", 1)[0]
@@ -566,7 +575,6 @@ class VegaPlus:
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
         self._record_run(label, result)
-        self.history.append(result)
         return result
 
     def _pick_interaction_plan(self, signal):
@@ -754,7 +762,7 @@ class VegaPlus:
                 "prefetched": self.prefetcher.prefetched,
             },
             "tiles": self.tiles.stats() if self.tiles is not None else None,
-            "runs": len(self.history),
+            "runs": self.runs,
             "session": {
                 "id": self.session_id,
                 "tenant": self.tenant,

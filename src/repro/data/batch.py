@@ -21,6 +21,12 @@ from repro.data.chunked import (
     note_consolidation,
     resolve_chunk_rows,
 )
+from repro.data.dictcode import (
+    code_dtype,
+    dense_codes,
+    encode_strings,
+    merge_dictionaries,
+)
 from repro.data.types import SQLType, infer_type
 
 
@@ -55,14 +61,25 @@ class Column:
     (slicing it is zero-copy lazy paging) but still declares logical
     chunk boundaries so executors align work to them; its ``backing``
     can release page ranges after a streaming pass.
+
+    A contiguous VARCHAR column may carry ``encoding``, a
+    ``(codes, dictionary)`` pair of sorted dictionary codes
+    (:mod:`repro.data.dictcode`); ``mask``/``take``/``slice`` and concat
+    keep it, and :meth:`string_codes` builds it on first use.
+    ``stats`` caches the column's catalog statistics: columns are never
+    modified in place, so both stay valid for the column's lifetime.
     """
 
-    __slots__ = ("type", "_data", "_valid", "_chunks", "_offsets", "backing")
+    __slots__ = ("type", "_data", "_valid", "_chunks", "_offsets", "backing",
+                 "encoding", "stats")
 
-    def __init__(self, sql_type, data, valid=None, offsets=None, backing=None):
+    def __init__(self, sql_type, data, valid=None, offsets=None, backing=None,
+                 encoding=None):
         self.type = sql_type
         self._chunks = None
         self.backing = backing
+        self.encoding = encoding
+        self.stats = None
         self._data = np.asarray(data, dtype=sql_type.numpy_dtype())
         if valid is None:
             valid = np.ones(len(self._data), dtype=np.bool_)
@@ -95,6 +112,8 @@ class Column:
         column._valid = None
         column._chunks = normalized
         column.backing = backing
+        column.encoding = None
+        column.stats = None
         offsets = np.zeros(len(normalized) + 1, dtype=np.int64)
         np.cumsum([len(chunk) for chunk in normalized], out=offsets[1:])
         column._offsets = offsets
@@ -177,7 +196,7 @@ class Column:
         if hi < lo:
             hi = lo
         if self._chunks is None:
-            return Column(self.type, self._data[lo:hi], self._valid[lo:hi])
+            return self._select(slice(lo, hi))
         offsets = self._offsets
         first = int(np.searchsorted(offsets, lo, side="right")) - 1
         parts = []
@@ -312,9 +331,20 @@ class Column:
         data = np.full(count, value, dtype=sql_type.numpy_dtype())
         return cls(sql_type, data)
 
+    def _select(self, selector):
+        """Rows picked by ``selector`` (a slice, index or boolean array)
+        from contiguous storage, keeping the dictionary encoding."""
+        encoding = self.encoding
+        if encoding is not None:
+            encoding = (encoding[0][selector], encoding[1])
+        return Column(self.type, self._data[selector], self._valid[selector],
+                      encoding=encoding)
+
     def take(self, indices):
         """Gather rows by integer index array."""
-        return Column(self.type, self.data[indices], self.valid[indices])
+        if self._chunks is not None:
+            self._consolidate()
+        return self._select(indices)
 
     def mask(self, keep):
         """Filter rows by boolean mask.
@@ -324,7 +354,7 @@ class Column:
         disk-sized column materializes only its survivors.
         """
         if self._chunks is None:
-            return Column(self.type, self._data[keep], self._valid[keep])
+            return self._select(keep)
         keep = np.asarray(keep, dtype=np.bool_)
         parts = []
         for lo, hi, piece in self.iter_chunks():
@@ -333,6 +363,22 @@ class Column:
                 ArrayChunk(piece.data[selector], piece.valid[selector])
             )
         return Column.from_chunks(self.type, parts)
+
+    def string_codes(self):
+        """The VARCHAR column's ``(codes, dictionary)`` encoding, built
+        (and kept) on first use when the column does not carry one."""
+        encoding = self.encoding
+        if encoding is None:
+            encoding = encode_strings(self.data, self.valid)
+            self.encoding = encoding
+        return encoding
+
+    def dense_codes(self):
+        """``(codes, count)``: int64 ranks of this VARCHAR column's
+        distinct valid values in sorted (``np.unique``) order, numbered
+        ``0..count-1``; NULL rows hold an arbitrary value."""
+        codes, dictionary = self.string_codes()
+        return dense_codes(codes, self.valid, len(dictionary))
 
     def to_list(self):
         """Materialize as Python values with None for NULLs."""
@@ -606,6 +652,44 @@ class ColumnBatch:
 Table = ColumnBatch
 
 
+def concat_columns(parts):
+    """One contiguous column from same-typed ``parts``.
+
+    When any VARCHAR part carries dictionary codes, the result does too:
+    parts without codes are encoded on their own rows, the dictionaries
+    merge, and existing codes are only remapped — appending a few rows
+    to an encoded column encodes just those rows.
+    """
+    first = parts[0]
+    encoding = None
+    if first.type is SQLType.VARCHAR and any(
+        part.encoding is not None for part in parts
+    ):
+        encoding = _concat_encodings([part.string_codes() for part in parts])
+    return Column(
+        first.type,
+        np.concatenate([part.data for part in parts]),
+        np.concatenate([part.valid for part in parts]),
+        encoding=encoding,
+    )
+
+
+def _concat_encodings(encodings):
+    pieces = [encodings[0][0]]
+    dictionary = encodings[0][1]
+    for codes, other in encodings[1:]:
+        union, old_remap, new_remap = merge_dictionaries(dictionary, other)
+        if old_remap is not None:
+            pieces = [old_remap[piece] for piece in pieces]
+        pieces.append(codes if new_remap is None else new_remap[codes])
+        dictionary = union
+    dtype = code_dtype(len(dictionary))
+    return (
+        np.concatenate([piece.astype(dtype, copy=False) for piece in pieces]),
+        dictionary,
+    )
+
+
 def concat_batches(batches, chunked=False):
     """Vertically concatenate batches with identical schemas.
 
@@ -641,14 +725,7 @@ def concat_batches(batches, chunked=False):
                 chunks.extend(part.storage_chunks())
             out.add_column(name, Column.from_chunks(target, chunks))
         else:
-            out.add_column(
-                name,
-                Column(
-                    target,
-                    np.concatenate([part.data for part in parts]),
-                    np.concatenate([part.valid for part in parts]),
-                ),
-            )
+            out.add_column(name, concat_columns(parts))
     if not first.column_names:
         out._num_rows = sum(batch.num_rows for batch in batches)
     return out

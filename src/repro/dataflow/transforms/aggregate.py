@@ -64,6 +64,9 @@ def _value_codes(batch, field):
     if column is None:
         return np.full(count, -1, dtype=np.int64), 0, None
     valid = _effective_valid(column)
+    if column.type is SQLType.VARCHAR:
+        codes, cardinality = column.dense_codes()
+        return np.where(valid, codes, -1), cardinality, column
     data = column.data
     if column.type is SQLType.DOUBLE:
         # neutralize masked slots so unique() never sees NaN

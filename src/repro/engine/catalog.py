@@ -42,40 +42,58 @@ class TableStats:
 
 
 def compute_stats(table):
-    """Compute TableStats by scanning (sampling distincts on huge tables)."""
+    """TableStats for ``table``.  Each column is scanned once in its
+    lifetime: its :class:`ColumnStats` are kept on the column, so a
+    second session over the same loaded table scans nothing."""
     stats = TableStats(row_count=table.num_rows)
     for name, column in table.columns.items():
-        valid_data = column.data[column.valid]
-        if len(valid_data) > _DISTINCT_SAMPLE:
-            sample = valid_data[:_DISTINCT_SAMPLE]
-            scale = len(valid_data) / _DISTINCT_SAMPLE
-            distinct = int(min(len(valid_data), len(np.unique(sample)) * scale**0.5))
-        else:
-            distinct = int(len(np.unique(valid_data))) if len(valid_data) else 0
-        min_value = max_value = None
-        avg_width = 8.0
-        if column.type is SQLType.DOUBLE and len(valid_data):
-            min_value = float(valid_data.min())
-            max_value = float(valid_data.max())
-        elif column.type is SQLType.VARCHAR:
-            if len(valid_data):
-                sample = valid_data[:_DISTINCT_SAMPLE]
-                avg_width = float(
-                    sum(len(value) for value in sample) / len(sample)
-                )
-            else:
-                avg_width = 0.0
-        elif column.type is SQLType.BOOLEAN:
-            avg_width = 1.0
-        stats.columns[name] = ColumnStats(
-            type=column.type,
-            null_count=column.null_count(),
-            distinct_estimate=distinct,
-            min_value=min_value,
-            max_value=max_value,
-            avg_width=avg_width,
-        )
+        if column.stats is None:
+            column.stats = column_stats(column)
+        stats.columns[name] = column.stats
     return stats
+
+
+def column_stats(column):
+    """Scan one column (sampling distincts on huge columns)."""
+    valid = column.valid
+    if column.type is SQLType.VARCHAR:
+        codes, dictionary = column.string_codes()
+        valid_codes = codes[valid]
+        valid_count = len(valid_codes)
+        sample = valid_codes[:_DISTINCT_SAMPLE]
+        sample_distinct = np.count_nonzero(
+            np.bincount(sample, minlength=len(dictionary)))
+    else:
+        valid_data = column.data[valid]
+        valid_count = len(valid_data)
+        sample_distinct = len(np.unique(valid_data[:_DISTINCT_SAMPLE]))
+    if valid_count > _DISTINCT_SAMPLE:
+        scale = valid_count / _DISTINCT_SAMPLE
+        distinct = int(min(valid_count, sample_distinct * scale**0.5))
+    else:
+        distinct = int(sample_distinct)
+    min_value = max_value = None
+    avg_width = 8.0
+    if column.type is SQLType.DOUBLE and valid_count:
+        min_value = float(valid_data.min())
+        max_value = float(valid_data.max())
+    elif column.type is SQLType.VARCHAR:
+        if valid_count:
+            lengths = np.fromiter(map(len, dictionary), dtype=np.int64,
+                                  count=len(dictionary))
+            avg_width = float(int(lengths[sample].sum()) / len(sample))
+        else:
+            avg_width = 0.0
+    elif column.type is SQLType.BOOLEAN:
+        avg_width = 1.0
+    return ColumnStats(
+        type=column.type,
+        null_count=column.null_count(),
+        distinct_estimate=distinct,
+        min_value=min_value,
+        max_value=max_value,
+        avg_width=avg_width,
+    )
 
 
 class Catalog:
@@ -90,6 +108,11 @@ class Catalog:
             raise CatalogError("table {!r} already exists".format(name))
         if not isinstance(table, Table):
             raise CatalogError("expected a Table, got {!r}".format(type(table)))
+        # Encode strings once here, not per query.  Chunked columns stay
+        # as they are: encoding them would consolidate their chunks.
+        for column in table.columns.values():
+            if column.type is SQLType.VARCHAR and not column.is_chunked:
+                column.string_codes()
         self._tables[name] = table
         self._stats.pop(name, None)
 

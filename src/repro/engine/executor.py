@@ -8,6 +8,7 @@ integer codes first.
 
 import numpy as np
 
+from repro.data.batch import concat_columns
 from repro.engine import sqlast
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate, predicate_mask
@@ -216,9 +217,21 @@ def apply_limit(plan, child):
 
 
 def factorize_column(column):
-    """Map a column to dense integer codes; NULL gets its own code."""
+    """Map a column to dense integer codes; NULL gets its own code.
+
+    Valid values are numbered by rank among the distinct valid values
+    (``np.unique`` order) and NULL takes the next code.  VARCHAR columns
+    compact their dictionary codes instead of sorting strings.
+    """
     if len(column) == 0:
         return np.zeros(0, dtype=np.int64), 0
+    if column.type is SQLType.VARCHAR:
+        codes, unique_count = column.dense_codes()
+        valid = column.valid
+        if valid.all():
+            return codes, unique_count
+        return np.where(valid, codes, np.int64(unique_count)), \
+            unique_count + 1
     valid_values = column.data[column.valid]
     if len(valid_values) == 0:
         return np.zeros(len(column), dtype=np.int64), 1
@@ -746,9 +759,7 @@ def apply_join(plan, left, right):
 def _concat_frames(first, second):
     entries = []
     for (q1, n1, c1), (q2, n2, c2) in zip(first.entries, second.entries):
-        data = np.concatenate([c1.data, c2.data])
-        valid = np.concatenate([c1.valid, c2.valid])
-        entries.append((q1, n1, Column(c1.type, data, valid)))
+        entries.append((q1, n1, concat_columns([c1, c2])))
     return Frame(entries, num_rows=first.num_rows + second.num_rows)
 
 

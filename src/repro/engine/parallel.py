@@ -13,8 +13,9 @@ answer canonically identical to the serial path:
   Adjacent Filter/Project nodes fuse into one morsel pipeline (no
   intermediate materialization) outside of EXPLAIN ANALYZE.
 * **Aggregate** — two-phase hash aggregation: each morsel factorizes its
-  own group keys locally (one ``np.unique`` pass over small code arrays)
-  and reduces partial states with ``bincount``/segmented kernels from
+  own group keys locally (``factorize_column``: VARCHAR keys compact
+  their dictionary codes, numeric keys rank their values) and reduces
+  partial states with ``bincount``/segmented kernels from
   :mod:`repro.data.grouping`; the merge re-factorizes the concatenated
   local key rows.  Group order equals the serial path because
   factorization order depends only on the distinct key values, and each
@@ -63,6 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.data.batch import concat_columns
 from repro.data.grouping import grouped_minmax
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate
@@ -225,21 +227,16 @@ def concat_frame_parts(parts):
         return parts[0]
     num_rows = sum(part.num_rows for part in parts)
     entries = []
-    for index, (qualifier, name, column) in enumerate(parts[0].entries):
-        data = np.concatenate([part.entries[index][2].data for part in parts])
-        valid = np.concatenate([part.entries[index][2].valid for part in parts])
-        entries.append((qualifier, name, Column(column.type, data, valid)))
+    for index, (qualifier, name, _column) in enumerate(parts[0].entries):
+        column = concat_columns([part.entries[index][2] for part in parts])
+        entries.append((qualifier, name, column))
     return Frame(entries, num_rows=num_rows)
 
 
 def _concat_columns(columns):
     if len(columns) == 1:
         return columns[0]
-    return Column(
-        columns[0].type,
-        np.concatenate([column.data for column in columns]),
-        np.concatenate([column.valid for column in columns]),
-    )
+    return concat_columns(columns)
 
 
 def _apply_chain(frame, ops):

@@ -108,7 +108,7 @@ class TestTranslator:
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
-    def session(self):
+    def started(self):
         instance = VegaPlus(
             LOOKUP_SPEC,
             data={
@@ -117,14 +117,18 @@ class TestEndToEnd:
             },
             latency_ms=20,
         )
-        instance.startup()
-        return instance
+        return instance, instance.startup()
 
-    def test_lookup_offloads(self, session):
+    @pytest.fixture(scope="class")
+    def session(self, started):
+        return started[0]
+
+    def test_lookup_offloads(self, started):
+        session, startup = started
         # lookup + aggregate both run on the server.
         assert session.plan.datasets["enriched"].max_cut == 2
         assert session.plan.datasets["enriched"].cut == 2
-        sqls = [entry.sql for entry in session.history[0].queries]
+        sqls = [entry.sql for entry in startup.queries]
         assert any("LEFT JOIN" in sql for sql in sqls)
 
     def test_results_match_client_execution(self, session):

@@ -157,7 +157,7 @@ class TestSessionIntegration:
     def test_derived_signal_translated_into_sql(self):
         session = self.make_session()
         # Force a server cut (100 rows would otherwise stay client-side).
-        session.startup(plan=session.custom_plan({"out": 2}))
+        startup = session.startup(plan=session.custom_plan({"out": 2}))
         # The filter offloads with threshold's *value* inlined.
-        sqls = [entry.sql for entry in session.history[0].queries]
+        sqls = [entry.sql for entry in startup.queries]
         assert any(">= 20" in sql for sql in sqls)
