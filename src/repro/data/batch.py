@@ -658,9 +658,12 @@ def concat_columns(parts):
     When any VARCHAR part carries dictionary codes, the result does too:
     parts without codes are encoded on their own rows, the dictionaries
     merge, and existing codes are only remapped — appending a few rows
-    to an encoded column encodes just those rows.
+    to an encoded column encodes just those rows.  A single contiguous
+    part is returned as it is.
     """
     first = parts[0]
+    if len(parts) == 1 and not first.is_chunked:
+        return first
     encoding = None
     if first.type is SQLType.VARCHAR and any(
         part.encoding is not None for part in parts

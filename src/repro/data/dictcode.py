@@ -115,18 +115,10 @@ def dense_codes(codes, valid, size):
     valid codes ``0..count-1`` in dictionary order — the
     ``np.unique``-over-values order — and holds an arbitrary value at
     invalid rows.  A ``bincount`` + ``cumsum`` over the dictionary does
-    it without a sort; a dictionary much larger than the rows (a small
-    slice of a high-cardinality column) sorts the integer codes instead.
+    it without a sort.
     """
-    valid_codes = codes[valid]
-    if size > 4 * len(valid_codes) + 64:
-        _, inverse = np.unique(valid_codes, return_inverse=True)
-        dense = np.zeros(len(codes), dtype=np.int64)
-        dense[valid] = inverse
-        count = int(inverse.max()) + 1 if len(inverse) else 0
-        return dense, count
     if size == 0:
         return np.zeros(len(codes), dtype=np.int64), 0
-    present = np.bincount(valid_codes, minlength=size) > 0
+    present = np.bincount(codes[valid], minlength=size) > 0
     rank = np.cumsum(present, dtype=np.int64) - 1
     return rank[codes], int(rank[-1]) + 1

@@ -10,6 +10,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.data.dictcode import encode_strings
 from repro.engine.errors import CatalogError
 from repro.engine.table import Table
 from repro.engine.types import SQLType
@@ -57,10 +58,19 @@ def column_stats(column):
     """Scan one column (sampling distincts on huge columns)."""
     valid = column.valid
     if column.type is SQLType.VARCHAR:
-        codes, dictionary = column.string_codes()
-        valid_codes = codes[valid]
-        valid_count = len(valid_codes)
-        sample = valid_codes[:_DISTINCT_SAMPLE]
+        # Read the codes the catalog built.  A column without them has
+        # only its sample encoded, and keeps no codes.
+        if column.encoding is None:
+            values = column.data[valid]
+            valid_count = len(values)
+            values = values[:_DISTINCT_SAMPLE]
+            sample, dictionary = encode_strings(
+                values, np.ones(len(values), dtype=np.bool_))
+        else:
+            codes, dictionary = column.encoding
+            valid_codes = codes[valid]
+            valid_count = len(valid_codes)
+            sample = valid_codes[:_DISTINCT_SAMPLE]
         sample_distinct = np.count_nonzero(
             np.bincount(sample, minlength=len(dictionary)))
     else:

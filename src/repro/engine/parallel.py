@@ -233,12 +233,6 @@ def concat_frame_parts(parts):
     return Frame(entries, num_rows=num_rows)
 
 
-def _concat_columns(columns):
-    if len(columns) == 1:
-        return columns[0]
-    return concat_columns(columns)
-
-
 def _apply_chain(frame, ops):
     """Apply a fused Filter/Project chain (bottom-to-top order)."""
     for op in ops:
@@ -745,7 +739,7 @@ class _ParallelRun:
         key bytes match the serial output exactly.
         """
         cat_keys = [
-            _concat_columns([part[0][position] for part in parts])
+            concat_columns([part[0][position] for part in parts])
             for position in range(len(plan.groups))
         ]
         total = sum(part[2] for part in parts)

@@ -136,8 +136,7 @@ class TestFactorizeEquivalence:
             assert_factorize_identical(derived)
 
     def test_few_rows_of_a_large_dictionary(self):
-        # Slices and filters far smaller than their dictionary take the
-        # integer-sort branch of dense_codes rather than a bincount.
+        # Slices and filters far smaller than their dictionary.
         rng = np.random.default_rng(11)
         pool = ["k{:05d}".format(i) for i in range(3000)]
         column = random_column(rng, 6000, pool=pool, null_rate=0.1)
@@ -275,14 +274,20 @@ class TestStatsEquivalence:
     @pytest.mark.parametrize("rows, distinct", [
         (0, 1), (50, 7), (5000, 300), (130_000, 40), (130_000, 20_000),
     ])
-    def test_distinct_and_width(self, rows, distinct):
+    @pytest.mark.parametrize("encoded", [False, True])
+    def test_distinct_and_width(self, rows, distinct, encoded):
         rng = np.random.default_rng(rows + distinct)
         pool = ["s{}é".format(i) * (i % 3 + 1) for i in range(distinct)]
         column = random_column(rng, rows, pool=pool, null_rate=0.1)
+        if encoded:
+            column.string_codes()
         stats = compute_stats(ColumnBatch({"c": column})).columns["c"]
         assert stats.distinct_estimate == reference_distinct(column)
         assert stats.avg_width == reference_avg_width(column)
         assert stats.null_count == int((~column.valid).sum())
+        # Profiling an unencoded column encodes only its sample and
+        # keeps no codes on it.
+        assert (column.encoding is not None) == encoded
 
     def test_all_null_column(self):
         column = Column.nulls(SQLType.VARCHAR, 10)
